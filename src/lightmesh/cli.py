@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=V1,V2,...",
                    help=f"sweep axis, one of {sim.SWEEP_AXES}")
     p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--workers", type=int, default=4)
 
     p = sub.add_parser("compare", help="photonic core vs systolic array")
     _add_common(p)
@@ -128,10 +127,9 @@ def _cmd_sweep(args) -> int:
         axes.setdefault("batch", [args.batch])
     reports = sim.run_sweep(_workload_path(args.workload), args.config, axes,
                             pipelining=not args.no_pipelining,
-                            buffering_scheme=_scheme(args), bins=args.bins,
-                            workers=args.workers)
+                            buffering_scheme=_scheme(args), bins=args.bins)
     print(sweep_table(reports, args.format))
-    return 0
+    return 0 if all(r.trace_feasible for r in reports) else 3
 
 
 def _cmd_compare(args) -> int:

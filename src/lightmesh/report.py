@@ -196,9 +196,14 @@ def _table(report: SimReport) -> str:
 
 
 def sweep_table(reports: list[SimReport], fmt: str = "table") -> str:
-    """Long-format table over sweep points."""
+    """Long-format table over sweep points.
+
+    `feasible` says whether the point's activation trace fits in SRAM and
+    `hidden` whether its next-batch transfer is hidden; a point with either
+    false is not an ordinary result."""
     cols = ["workload", "core", "m", "f_c_ghz", "dataflow", "parallel", "batch",
-            "ips", "total_w", "ips_per_w", "ips_per_w_mm2", "utilization", "ai"]
+            "ips", "total_w", "ips_per_w", "ips_per_w_mm2", "utilization", "ai",
+            "feasible", "hidden"]
     rows = []
     for r in reports:
         acc = r.accelerator
@@ -207,7 +212,8 @@ def sweep_table(reports: list[SimReport], fmt: str = "table") -> str:
                      acc["dataflow"], par, r.batch,
                      round(r.ips, 2), round(r.power.total_w, 3),
                      round(r.ips_per_w, 3), round(r.ips_per_w_mm2, 5),
-                     round(r.utilization, 4), round(r.arithmetic_intensity, 4)])
+                     round(r.utilization, 4), round(r.arithmetic_intensity, 4),
+                     r.trace_feasible, r.transfer_hidden])
     if fmt == "json":
         return json.dumps([dict(zip(cols, row)) for row in rows], indent=2)
     buf = io.StringIO()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -78,9 +77,9 @@ SWEEP_AXES = ("m", "f_c", "core", "dataflow", "batch", "n_cores", "n_wdm",
 
 def run_sweep(workload_path, config=None, axes: dict | None = None,
               pipelining: bool = True, buffering_scheme: str = "optimized",
-              bins: int = 1000, workers: int = 4) -> list[SimReport]:
-    """Cross-product sweep; results ordered by axis index, evaluation may
-    run concurrently (points are independent)."""
+              bins: int = 1000) -> list[SimReport]:
+    """Cross-product sweep, evaluated serially; results follow the axis
+    cross-product order (axes sorted by name, batch varying fastest)."""
     axes = {k: list(v) for k, v in (axes or {}).items()}
     if not axes or any(len(v) == 0 for v in axes.values()):
         raise timing.ConfigError("sweep needs at least one non-empty axis")
@@ -90,24 +89,18 @@ def run_sweep(workload_path, config=None, axes: dict | None = None,
     cfg = _resolve_config(config)
     batches = axes.pop("batch", [None])
     keys = sorted(axes)
-    points = []
+    reports = []
     for combo in product(*(axes[k] for k in keys)):
         acc_kw = dict(zip(keys, combo))
         if acc_kw.get("core") == "photo_core":
             acc_kw["dataflow"] = "WS"  # the photonic core is WS-only
-        for b in batches:
-            points.append((acc_kw, b))
-
-    def evaluate(point):
-        acc_kw, b = point
         sub = cfg.with_accelerator(**acc_kw)
-        return run_simulation(workload_path, sub, batch=b, pipelining=pipelining,
-                              buffering_scheme=buffering_scheme, bins=bins)
-
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(p) for p in points]
+        for b in batches:
+            reports.append(run_simulation(workload_path, sub, batch=b,
+                                          pipelining=pipelining,
+                                          buffering_scheme=buffering_scheme,
+                                          bins=bins))
+    return reports
 
 
 def compare_cores(workload_path, config=None, batch: int | None = None,

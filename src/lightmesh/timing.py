@@ -316,8 +316,21 @@ def gemm_timeline(gemm: GemmOp, cfg: AcceleratorConfig,
 def workload_timelines(gemms: list[GemmOp], cfg: AcceleratorConfig,
                        ducfg: nonlinear.DigitalUnitConfig | None = None,
                        pipelining: bool = True) -> list[LayerTimeline]:
+    """One timeline per GEMM, in order.
+
+    A GEMM that is (or equals) the one before it reuses that GEMM's frozen
+    timeline instead of being timed again, so a run of identical LSTM steps
+    costs one `gemm_timeline` call.  The result equals timing every GEMM.
+    """
     ducfg = ducfg or nonlinear.DigitalUnitConfig(lanes=cfg.m, f_c=cfg.f_c)
-    return [gemm_timeline(g, cfg, ducfg, pipelining) for g in gemms]
+    timelines: list[LayerTimeline] = []
+    prev = tl = None
+    for g in gemms:
+        if g is not prev and g != prev:
+            tl = gemm_timeline(g, cfg, ducfg, pipelining)
+        timelines.append(tl)
+        prev = g
+    return timelines
 
 
 def total_cycles(timelines) -> int:
@@ -330,12 +343,6 @@ def elapsed_seconds(timelines, cfg: AcceleratorConfig) -> float:
 
 def inferences_per_second(batch: int, timelines, cfg: AcceleratorConfig) -> float:
     return batch / elapsed_seconds(timelines, cfg)
-
-
-def weight_dac_duty(timelines) -> float:
-    """Fraction of run time the weight DACs are driving the mesh."""
-    total = total_cycles(timelines)
-    return sum(t.stall_cycles for t in timelines) / total if total else 0.0
 
 
 def build_memory_trace(timelines, layers: list[LayerSpec], batch: int,

@@ -7,6 +7,10 @@ time step, and attention projections to plain panel GEMMs.  Non-GEMM work
 (activations, pools, normalizations, elementwise arithmetic) rides along as
 ordered op tags attached to the producing GEMM.
 
+The time steps of an LSTM layer are identical, so the lowered list holds one
+shared `GemmOp` object `seq_len` times (run-length lowering).  Object
+identity therefore does not identify a time step; use list positions.
+
 File format (JSON, field names normative):
 
     {"name": ..., "layers": [
@@ -98,10 +102,6 @@ class TilePlan:
     @property
     def total_tiles(self) -> int:
         return self.row_tiles * self.col_tiles
-
-    @property
-    def vectors_per_tile(self) -> int:
-        return self.gemm.n_vec
 
     def tile_dims(self):
         """Yield (tile_rows, tile_cols) for every tile, edge tiles truncated."""
@@ -197,13 +197,21 @@ def lower_to_gemms(layers: list[LayerSpec], batch: int | None = None) -> list[Ge
     `batch` overrides every layer's declared batch when given.  Elementwise
     blocks produce no GEMM; their ops are attached to the preceding GEMM (or
     to the first GEMM that follows, if they open the network).
+
+    An LSTM layer yields `seq_len` list entries that are all the same
+    `GemmOp` object, except that a pending prefix makes the first step its
+    own object and a following elementwise block replaces the last step.
     """
     gemms: list[GemmOp] = []
     pending: list[NonGemmOp] = []
 
-    def emit(rows, cols, nvec, idx, ops):
+    def emit(rows, cols, nvec, idx, ops, repeat=1):
         nonlocal pending
-        gemms.append(GemmOp(rows, cols, nvec, idx, tuple(pending) + tuple(ops)))
+        first = GemmOp(rows, cols, nvec, idx, tuple(pending) + tuple(ops))
+        gemms.append(first)
+        if repeat > 1:
+            step = GemmOp(rows, cols, nvec, idx, tuple(ops)) if pending else first
+            gemms.extend([step] * (repeat - 1))
         pending = []
 
     for idx, layer in enumerate(layers):
@@ -225,8 +233,7 @@ def lower_to_gemms(layers: list[LayerSpec], batch: int | None = None) -> list[Ge
                 NonGemmOp("mul", 3 * h * b),
                 NonGemmOp("add", h * b),
             )
-            for _ in range(d["seq_len"]):
-                emit(4 * h, d["input"] + h, b, idx, gate_ops + ops)
+            emit(4 * h, d["input"] + h, b, idx, gate_ops + ops, repeat=d["seq_len"])
         elif layer.kind == "elementwise_block":
             if gemms:
                 last = gemms[-1]

@@ -223,7 +223,7 @@ def test_criterion_07_throughput_shape(cfg):
 
 def test_criterion_08_directional_sweep(cfg):
     reports = sim.run_sweep(str(bundled_workload("resnet50")), cfg,
-                            axes={"m": [64, 128, 256]}, workers=1, bins=500)
+                            axes={"m": [64, 128, 256]}, bins=500)
     by_m = {r.accelerator["m"]: r for r in reports}
     eff = {m: r.ips_per_w for m, r in by_m.items()}
     share = {m: r.power.watts["laser"] / r.power.total_w for m, r in by_m.items()}

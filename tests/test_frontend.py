@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from itertools import product
 
 import pytest
 
@@ -102,12 +103,14 @@ def test_roofline_bound_holds_everywhere(toy_workload):
 
 
 def test_sweep_deterministic_ordering(toy_workload):
-    axes = {"m": [64, 128], "f_c": [1e9, 10e9], "batch": [4]}
-    seq = sim.run_sweep(toy_workload, axes=axes, workers=1)
-    par = sim.run_sweep(toy_workload, axes=axes, workers=4)
-    key = lambda r: (r.accelerator["m"], r.accelerator["f_c"], r.ips)
-    assert [key(r) for r in seq] == [key(r) for r in par]
-    assert len(seq) == 4
+    # Axes run in sorted-name order (f_c, then m), batch varying fastest.
+    axes = {"m": [64, 128], "f_c": [1e9, 10e9], "batch": [4, 8]}
+    reports = sim.run_sweep(toy_workload, axes=axes)
+    got = [(r.accelerator["f_c"], r.accelerator["m"], r.batch) for r in reports]
+    assert got == list(product([1e9, 10e9], [64, 128], [4, 8]))
+    again = sim.run_sweep(toy_workload, axes=axes)
+    assert ([report.emit_report(r, "json") for r in reports]
+            == [report.emit_report(r, "json") for r in again])
 
 
 def test_sweep_rejects_empty_or_unknown_axes(toy_workload):
@@ -151,9 +154,20 @@ def test_cli_infeasible_batch_exit_code(tmp_path, capsys):
 def test_cli_sweep_and_compare_smoke(toy_workload, capsys):
     assert cli.main(["sweep", "--workload", toy_workload, "--axis", "m=64,128",
                      "--batch", "4", "--format", "csv"]) == 0
-    rows = [r for r in csv.reader(io.StringIO(capsys.readouterr().out)) if r]
-    assert len(rows) == 3
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2
+    assert [r["feasible"] for r in rows] == ["True", "True"]
+    assert {r["hidden"] for r in rows} <= {"True", "False"}
     assert cli.main(["compare", "--workload", toy_workload, "--batch", "4"]) == 0
+
+
+def test_cli_sweep_infeasible_point_exit_code(capsys):
+    # batch 500 of resnet50 peaks far above the 100 MB activation SRAM
+    assert cli.main(["sweep", "--workload", "resnet50", "--axis", "m=128",
+                     "--batch", "500", "--format", "json"]) == 3
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 1
+    assert rows[0]["feasible"] is False and rows[0]["hidden"] is False
 
 
 def test_cli_buffer_schedule(capsys):

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightmesh import nonlinear, timing, workload as wl
 from lightmesh.config import bundled_workload, load_config
@@ -234,3 +237,54 @@ def test_photo_throughput_sublinear_in_clock():
         ips = timing.inferences_per_second(
             8, timing.workload_timelines(gemms, cfg, du), cfg)
         assert ips < k * base
+
+
+_TAGS = st.sampled_from(wl.NONGEMM_TAGS)
+_NONGEMM = st.builds(wl.NonGemmOp, tag=_TAGS, elems=st.integers(1, 5000))
+_OPS = st.lists(_NONGEMM, max_size=2).map(tuple)
+_LSTM = st.builds(
+    lambda h, i, s, ops: wl.LayerSpec("lstm_cell", dict(hidden=h, input=i, seq_len=s), ops),
+    st.integers(1, 300), st.integers(1, 300), st.integers(1, 12), _OPS)
+_DENSE = st.builds(
+    lambda i, o, ops: wl.LayerSpec("dense", dict(in_features=i, out_features=o), ops),
+    st.integers(1, 600), st.integers(1, 600), _OPS)
+_ELTWISE = st.builds(lambda ops: wl.LayerSpec("elementwise_block", {}, tuple(ops)),
+                     st.lists(_NONGEMM, min_size=1, max_size=2))
+_MAYBE_ELTWISE = st.lists(_ELTWISE, max_size=1)
+# Elementwise blocks may open the network, follow any GEMM layer and close it.
+_LAYER_LISTS = st.builds(
+    lambda lead, body: lead + [l for gemm, tail in body for l in [gemm] + tail],
+    _MAYBE_ELTWISE,
+    st.lists(st.tuples(st.one_of(_LSTM, _DENSE), _MAYBE_ELTWISE), min_size=1, max_size=5))
+
+
+@st.composite
+def _accelerators(draw):
+    core = draw(st.sampled_from(["photo_core", "systolic_array"]))
+    if core == "photo_core":
+        dataflow, modes = "WS", ["data", "tile", "wdm"]
+    else:
+        dataflow, modes = draw(st.sampled_from(["WS", "OS", "IS"])), ["data", "tile"]
+    mode = draw(st.sampled_from(modes))
+    return AcceleratorConfig(
+        core=core, m=draw(st.integers(2, 64)),
+        f_c=draw(st.sampled_from([1e9, 2.5e9, 10e9])), dataflow=dataflow,
+        n_cores=draw(st.integers(1, 4)), parallel_mode=mode,
+        n_wdm=draw(st.integers(1, 4)) if mode == "wdm" else 1)
+
+
+@settings(deadline=None)
+@given(layers=_LAYER_LISTS, cfg=_accelerators(), batch=st.integers(1, 8),
+       pipelining=st.booleans())
+def test_timeline_reuse_matches_per_gemm_timing(layers, cfg, batch, pipelining):
+    gemms = wl.lower_to_gemms(layers, batch=batch)
+    du = nonlinear.DigitalUnitConfig(lanes=cfg.m, f_c=cfg.f_c)
+    tls = timing.workload_timelines(gemms, cfg, du, pipelining)
+    assert tls == [timing.gemm_timeline(g, cfg, du, pipelining) for g in gemms]
+    distinct = [replace(g) for g in gemms]
+    assert len({id(g) for g in distinct}) == len(distinct)
+    assert timing.workload_timelines(distinct, cfg, du, pipelining) == tls
+    lstm_steps = sum(l.dims["seq_len"] for l in layers if l.kind == "lstm_cell")
+    others = sum(l.kind in ("dense", "conv2d", "attention_proj") for l in layers)
+    assert len(gemms) == lstm_steps + others
+    assert sum(t.mac_count for t in tls) == wl.workload_mac_count(layers, batch)

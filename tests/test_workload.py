@@ -73,6 +73,21 @@ def test_lstm_lowering_fuses_gates():
         assert [op.tag for op in g.nongemm_ops] == ["sigmoid", "tanh", "mul", "add"]
 
 
+def test_lstm_steps_share_one_gemm_object():
+    lstm = wl.LayerSpec(kind="lstm_cell", dims=dict(hidden=8, input=8, seq_len=4))
+    lead = wl.LayerSpec(kind="elementwise_block", dims={},
+                        nongemm_ops=(wl.NonGemmOp("add", 4),))
+    tail = wl.LayerSpec(kind="elementwise_block", dims={},
+                        nongemm_ops=(wl.NonGemmOp("relu", 4),))
+    gemms = wl.lower_to_gemms([lstm])
+    assert all(g is gemms[0] for g in gemms)
+    # a pending prefix lands on the first step only, a trailing block on the last
+    a, b, c, d = wl.lower_to_gemms([lead, lstm, tail])
+    assert b is c and a != b and d != c
+    assert a.nongemm_ops[0].tag == "add" and d.nongemm_ops[-1].tag == "relu"
+    assert a.nongemm_ops[1:] == b.nongemm_ops == d.nongemm_ops[:-1]
+
+
 def test_attention_proj_lowering():
     layer = wl.LayerSpec(kind="attention_proj",
                          dims=dict(d_model=1024, d_proj=64, seq_len=384), batch=2)
